@@ -223,16 +223,6 @@ def _prefix_lower_bound(instance: OnlineMinLAInstance, max_exact_blocks: int) ->
     return best
 
 
-def opt_disagreement_estimate(instance: OnlineMinLAInstance) -> int:
-    """``|L_{π0} \\ L_{πOPT_k}|`` — the yardstick of Theorems 6 and 14.
-
-    Equal to the Kendall-tau distance between ``π_0`` and OPT's final
-    permutation; we use the single-jump target, whose distance upper-bounds
-    the true value, keeping empirical ratio denominators conservative.
-    """
-    return offline_optimum_bounds(instance).upper
-
-
 # ----------------------------------------------------------------------
 # Exact optimum for tiny instances
 # ----------------------------------------------------------------------

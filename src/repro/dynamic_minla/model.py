@@ -35,6 +35,7 @@ from repro.core.cost import CostLedger, UpdateRecord
 from repro.core.permutation import Arrangement
 from repro.errors import ReproError
 from repro.graphs.reveal import RevealStep
+from repro.telemetry.backends import kendall_tau_delta
 from repro.telemetry.trace import CostTrace, TraceRecorder
 
 Node = Hashable
@@ -178,7 +179,8 @@ class DynamicMinLAAlgorithm(abc.ABC):
         )
         self._pending_split = None
         new_arrangement, move_cost = self._rearrange(request)
-        if new_arrangement.nodes != arrangement.nodes:
+        # The very same object cannot have changed the node universe.
+        if new_arrangement is not arrangement and new_arrangement.nodes != arrangement.nodes:
             raise ReproError("rearranging must not change the node universe")
         if self._pending_split is None:
             # The block operations of the plain heuristics are swap-exact
@@ -231,8 +233,9 @@ def run_dynamic(
     previous = initial_arrangement
     for request in requests:
         record = algorithm.serve(request)
-        if verify:
-            actual_distance = previous.kendall_tau(algorithm.current_arrangement)
+        current = algorithm.current_arrangement
+        if verify and current is not previous:
+            actual_distance = kendall_tau_delta(previous.order, current.order)
             if record.move_cost < actual_distance:
                 raise ReproError(
                     f"{algorithm.name} under-reported a move cost "
@@ -240,7 +243,7 @@ def run_dynamic(
                 )
         if recorder is not None:
             recorder.record_update(algorithm.ledger.records[-1])
-        previous = algorithm.current_arrangement
+        previous = current
         result.records.append(record)
     result.final_arrangement = algorithm.current_arrangement
     result.rearrangement_ledger = algorithm.ledger

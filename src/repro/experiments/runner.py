@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, TypeVar
 
+from repro.errors import ReproError
 from repro.experiments.tables import ResultTable
 from repro.telemetry.trace import TraceSample
 
@@ -102,7 +103,12 @@ def scale_pick(
     bench: _ScaleValue,
     full: _ScaleValue,
 ) -> _ScaleValue:
-    """Select a per-scale configuration value."""
+    """Select a per-scale configuration value; ``scale`` may be its name."""
+    try:
+        scale = ExperimentScale(scale)
+    except ValueError:
+        valid = ", ".join(member.value for member in ExperimentScale)
+        raise ReproError(f"unknown experiment scale {scale!r}; choose one of {valid}") from None
     if scale is ExperimentScale.SMOKE:
         return smoke
     if scale is ExperimentScale.BENCH:

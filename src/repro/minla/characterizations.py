@@ -39,8 +39,7 @@ from typing import Hashable, Iterable, List, Sequence, Tuple, Union
 
 from repro.core.permutation import Arrangement
 from repro.obs.profile import count_work as _count_work
-from repro.telemetry.backends import count_inversions
-from repro.errors import ArrangementError
+from repro.telemetry.backends import kendall_tau_delta
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import RevealStep
@@ -111,7 +110,7 @@ class IncrementalStepVerifier:
     re-validating the entire forest; only the cost of reaching it differs.
 
     The verifier also measures each step's true Kendall-tau distance from its
-    own copy of the previous order (see :meth:`_kendall_tau_from_previous`),
+    own copy of the previous order (:func:`~repro.telemetry.kendall_tau_delta`),
     giving the simulator a cost cross-check that is independent of whatever
     swap counts the algorithm reports.
     """
@@ -147,7 +146,7 @@ class IncrementalStepVerifier:
         arrangement is feasible, so one verifier instance tracks one run.
         """
         order = arrangement.order_list()
-        kendall_tau = self._kendall_tau_from_previous(order)
+        kendall_tau = kendall_tau_delta(self._previous_order, order)
         positions = arrangement.positions_of(merged)
         lo, hi = min(positions), max(positions)
         contiguous = hi - lo + 1 == len(positions)
@@ -174,49 +173,6 @@ class IncrementalStepVerifier:
         if feasible:
             self._previous_order = order
         return feasible, kendall_tau
-
-    def _kendall_tau_from_previous(self, order: List[Node]) -> int:
-        """Kendall-tau distance between the stored previous order and ``order``.
-
-        Every node outside the minimal window of mismatching positions kept
-        its exact position, so no pair involving such a node changed relative
-        order; the distance therefore equals the inversion count inside the
-        window — ``O(w log w)`` for a window of size ``w`` instead of
-        ``O(n log n)`` for the whole arrangement.  The dominant update shape,
-        a block slide, rotates its window (``A+B`` becomes ``B+A`` with both
-        parts order-preserved, flipping exactly ``|A|·|B|`` pairs); that case
-        is recognized with two slice comparisons and costs no inversion count
-        at all.
-        """
-        previous = self._previous_order
-        n = len(previous)
-        if len(order) != n:
-            raise ArrangementError("the node universe changed during an update")
-        lo = 0
-        while lo < n and previous[lo] == order[lo]:
-            lo += 1
-        if lo == n:
-            return 0
-        hi = n - 1
-        while previous[hi] == order[hi]:
-            hi -= 1
-        prev_window = previous[lo : hi + 1]
-        window = order[lo : hi + 1]
-        width = hi - lo + 1
-        try:
-            split = window.index(prev_window[0])
-        except ValueError:
-            raise ArrangementError("the node universe changed during an update") from None
-        if (
-            window[split:] == prev_window[: width - split]
-            and window[:split] == prev_window[width - split :]
-        ):
-            return (width - split) * split
-        window_position = {node: index for index, node in enumerate(window)}
-        try:
-            return count_inversions([window_position[node] for node in prev_window])
-        except KeyError:
-            raise ArrangementError("the node universe changed during an update") from None
 
     def _step_left_rest_untouched(
         self, order: List[Node], touched: set, lo: int, hi: int

@@ -4,7 +4,8 @@ Everything this library reports as "cost" flows through this package:
 
 * :mod:`repro.telemetry.backends` — the pluggable inversion-counting
   primitive behind every Kendall-tau distance (pure-Python merge sort, plus
-  an optional vectorized numpy backend; ``REPRO_METRIC_BACKEND`` selects).
+  an optional vectorized numpy backend; ``REPRO_METRIC_BACKEND`` selects)
+  and :func:`kendall_tau_delta`, the windowed distance both verifiers use.
 * :mod:`repro.telemetry.trace` — streaming per-step cost traces
   (:class:`TraceRecorder` / :class:`CostTrace`), the memory-bounded
   replacement for full-trajectory snapshots when only costs are analysed.
@@ -23,6 +24,7 @@ from repro.telemetry.backends import (
     count_inversions,
     count_inversions_batch,
     get_backend,
+    kendall_tau_delta,
     numpy_available,
     set_backend,
 )
@@ -50,6 +52,7 @@ __all__ = [
     "count_inversions_batch",
     "downsample_events",
     "get_backend",
+    "kendall_tau_delta",
     "numpy_available",
     "regress_phases_against_harmonic",
     "set_backend",

@@ -31,10 +31,10 @@ change which code measured an experiment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.envconfig import read_env_choice
-from repro.errors import ReproError
+from repro.errors import ArrangementError, ReproError
 from repro.obs.profile import count_work as _count_work
 
 #: Environment variable overriding the backend choice (``auto``/``python``/``numpy``).
@@ -376,3 +376,42 @@ def count_inversions_batch(sequences: Sequence[Sequence[int]]) -> List[int]:
         sum(len(sequence) for sequence in sequences),
     )
     return get_backend().count_inversions_batch(sequences)
+
+
+def kendall_tau_delta(previous: Sequence[Hashable], current: Sequence[Hashable]) -> int:
+    """Kendall-tau distance between two orders of the same nodes, windowed.
+
+    Nodes outside the minimal window of mismatching positions kept their
+    positions, so only pairs inside the window can have flipped: ``O(w log w)``
+    for a window of ``w`` nodes.  A block slide rotates its window (``A+B``
+    becomes ``B+A``, flipping ``|A|·|B|`` pairs) and is recognized with two
+    slice comparisons, counting nothing.  ``Arrangement.kendall_tau`` is the
+    unwindowed reference.  Raises :class:`~repro.errors.ArrangementError`
+    when the node universe changed.
+    """
+    n = len(previous)
+    if len(current) != n:
+        raise ArrangementError("the node universe changed during an update")
+    lo = 0
+    while lo < n and previous[lo] == current[lo]:
+        lo += 1
+    if lo == n:
+        return 0
+    hi = n - 1
+    while previous[hi] == current[hi]:
+        hi -= 1
+    prev_window = previous[lo : hi + 1]
+    window = current[lo : hi + 1]
+    width = hi - lo + 1
+    try:
+        split = window.index(prev_window[0])
+        if (
+            window[split:] == prev_window[: width - split]
+            and window[:split] == prev_window[width - split :]
+        ):
+            return (width - split) * split
+        window_position = {node: index for index, node in enumerate(window)}
+        projected = [window_position[node] for node in prev_window]
+    except (ValueError, KeyError):
+        raise ArrangementError("the node universe changed during an update") from None
+    return count_inversions(projected)

@@ -42,6 +42,86 @@ class TestModel:
             _ = NeverMoveAlgorithm().current_arrangement
 
 
+class _UnderReportingSlide(MoveSmallerComponentAlgorithm):
+    """Slides the smaller component like its parent but reports one swap fewer."""
+
+    name = "under-reporting-slide"
+
+    def _rearrange(self, request):
+        arrangement, cost = super()._rearrange(request)
+        return arrangement, max(cost - 1, 0)
+
+
+class _SilentReversal(NeverMoveAlgorithm):
+    """Reverses the block spanning a far-apart request and reports no swaps."""
+
+    name = "silent-reversal"
+
+    def _rearrange(self, request):
+        arrangement = self.current_arrangement
+        lo, hi = sorted((arrangement.position(request.u), arrangement.position(request.v)))
+        if hi - lo < 3:
+            return arrangement, 0
+        reversed_arrangement, _ = arrangement.reverse_block(arrangement.order[lo : hi + 1])
+        return reversed_arrangement, 0
+
+
+class _UniverseSwapper(NeverMoveAlgorithm):
+    """Replaces the rightmost node with a stranger (or only copies the order)."""
+
+    name = "universe-swapper"
+
+    def __init__(self, replace):
+        super().__init__()
+        self._replace = replace
+
+    def _rearrange(self, request):
+        order = list(self.current_arrangement.order)
+        if self._replace:
+            order[-1] = "stranger"
+        return Arrangement(order), 0
+
+
+class TestVerification:
+    def test_under_reported_slide_raises(self):
+        nodes = list(range(8))
+        requests = [DynamicRequest(0, 5)]
+        with pytest.raises(ReproError, match="under-reported a move cost"):
+            run_dynamic(_UnderReportingSlide(), nodes, requests, Arrangement(nodes))
+        # The verifier is what catches it: the unverified run completes.
+        result = run_dynamic(
+            _UnderReportingSlide(), nodes, requests, Arrangement(nodes), verify=False
+        )
+        assert result.total_move_cost == 3
+
+    def test_silent_reversal_after_idle_requests_raises(self):
+        nodes = list(range(8))
+        requests = [DynamicRequest(0, 1), DynamicRequest(1, 2), DynamicRequest(0, 4)]
+        with pytest.raises(ReproError, match=r"under-reported a move cost \(0 < 10\)"):
+            run_dynamic(_SilentReversal(), nodes, requests, Arrangement(nodes))
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_changed_node_universe_raises(self, verify):
+        # serve() itself rejects the new universe, with or without verification.
+        nodes = list(range(5))
+        with pytest.raises(ReproError, match="must not change the node universe"):
+            run_dynamic(
+                _UniverseSwapper(True),
+                nodes,
+                [DynamicRequest(0, 1)],
+                Arrangement(nodes),
+                verify=verify,
+            )
+
+    def test_fresh_object_over_the_same_universe_is_accepted(self):
+        nodes = list(range(5))
+        result = run_dynamic(
+            _UniverseSwapper(False), nodes, [DynamicRequest(0, 4)] * 3, Arrangement(nodes)
+        )
+        assert result.final_arrangement == Arrangement(nodes)
+        assert result.total_cost == 12
+
+
 class TestBaselines:
     def test_move_to_front_pair_collocates_requested_nodes(self):
         nodes = list(range(6))

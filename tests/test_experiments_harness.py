@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.metrics import (
     geometric_mean,
     mean,
@@ -107,6 +107,15 @@ class TestRunnerHelpers:
         assert scale_pick(ExperimentScale.SMOKE, 1, 2, 3) == 1
         assert scale_pick(ExperimentScale.BENCH, 1, 2, 3) == 2
         assert scale_pick(ExperimentScale.FULL, 1, 2, 3) == 3
+
+    def test_scale_pick_accepts_scale_names(self):
+        assert scale_pick("smoke", 1, 2, 3) == 1
+        assert scale_pick("bench", 1, 2, 3) == 2
+        assert scale_pick("full", 1, 2, 3) == 3
+
+    def test_scale_pick_rejects_unknown_scale(self):
+        with pytest.raises(ReproError, match="'bnech'.*smoke, bench, full"):
+            scale_pick("bnech", 1, 2, 3)
 
     def test_experiment_result_rendering(self):
         table = ResultTable(title="t", columns=["a"])

@@ -1,12 +1,16 @@
 """Property-based tests (hypothesis) for the arrangement / Kendall-tau substrate."""
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pairs import disagreement_pairs
 from repro.core.permutation import Arrangement, count_inversions
+from repro.errors import ArrangementError
+from repro.telemetry import kendall_tau_delta
 
 
 @st.composite
@@ -154,3 +158,81 @@ class TestBlockOperationProperties:
         random.Random(block_seed).shuffle(new_block)
         rewritten, cost = arrangement.rewrite_block(new_block)
         assert cost == arrangement.kendall_tau(rewritten)
+
+
+STEP_KINDS = ("slide", "reverse", "rewrite", "swap", "no-op")
+
+
+def _apply_step(order, kind, a, b, c):
+    """One update of ``order`` between positions ``a`` and ``b`` (mod n)."""
+    new = list(order)
+    if not new or kind == "no-op":
+        return new
+    lo, hi = sorted((a % len(new), b % len(new)))
+    window = new[lo : hi + 1]
+    if kind == "slide":
+        # A block slide rotates its window.
+        shift = c % len(window)
+        window = window[shift:] + window[:shift]
+    elif kind == "reverse":
+        window.reverse()
+    elif kind == "rewrite":
+        random.Random(c).shuffle(window)
+    else:
+        window[0], window[-1] = window[-1], window[0]
+    new[lo : hi + 1] = window
+    return new
+
+
+@st.composite
+def update_walks(draw, max_size=12):
+    """A shuffled order over int or str labels plus a list of update steps."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    labels = list(range(n)) if draw(st.booleans()) else [f"v{i}" for i in range(n)]
+    random.Random(draw(st.integers(min_value=0, max_value=10_000))).shuffle(labels)
+    index = st.integers(min_value=0, max_value=100)
+    steps = draw(st.lists(st.tuples(st.sampled_from(STEP_KINDS), index, index, index), max_size=10))
+    return labels, steps
+
+
+class TestKendallTauDelta:
+    """The windowed ``kendall_tau_delta`` equals the full ``Arrangement.kendall_tau``."""
+
+    @staticmethod
+    def _assert_matches_reference(previous, current):
+        expected = Arrangement(previous).kendall_tau(Arrangement(current))
+        assert kendall_tau_delta(previous, current) == expected
+        assert kendall_tau_delta(tuple(previous), tuple(current)) == expected
+
+    @given(update_walks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_recount_along_update_walks(self, walk):
+        order, steps = walk
+        for kind, a, b, c in steps:
+            new = _apply_step(order, kind, a, b, c)
+            self._assert_matches_reference(order, new)
+            order = new
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_matches_full_recount_on_every_tiny_pair(self, n):
+        for labels in (list(range(n)), [f"v{i}" for i in range(n)]):
+            for previous in itertools.permutations(labels):
+                for current in itertools.permutations(labels):
+                    self._assert_matches_reference(list(previous), list(current))
+
+    @given(update_walks(), st.integers(min_value=0, max_value=100))
+    @settings(max_examples=150, deadline=None)
+    def test_changed_node_universe_raises(self, walk, where):
+        start, steps = walk
+        order = start
+        for kind, a, b, c in steps:
+            order = _apply_step(order, kind, a, b, c)
+        with pytest.raises(ArrangementError):
+            kendall_tau_delta(start, order + ["fresh"])
+        if order:
+            with pytest.raises(ArrangementError):
+                kendall_tau_delta(start, order[:-1])
+            replaced = list(order)
+            replaced[where % len(order)] = "fresh"
+            with pytest.raises(ArrangementError):
+                kendall_tau_delta(start, replaced)
